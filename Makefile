@@ -4,7 +4,8 @@ export PYTHONPATH
 .PHONY: check test bench bench-pytest chaos trace recover
 
 # The fast gate for every push: tier-1 minus the slow full-campaign
-# tests, plus the parallel-campaign determinism regression.
+# tests (the exact Table I fidelity pins included), plus the
+# parallel-campaign determinism regression.
 check:
 	python -m pytest -q -m "not slow"
 	python -m pytest -q tests/evaluation/test_parallel_campaign.py
@@ -28,12 +29,12 @@ test:
 	python -m pytest -x -q
 
 # Hot-path benchmarks + regression gate: compares the gated *ratio*
-# metrics (classify-once speedup, prefilter speedup, fused-pipeline
+# metrics (classify-once speedup, prefilter speedup, compiled replay
 # speedup, parallel speedup, chunking gain, cloud stale-read speedup,
 # monitor tick ratio/speedup, snapshot sharing) against the committed
 # BENCH_*.json baselines before rewriting them.  Commit the rewritten
 # artifacts to refresh the baseline.  ONLY=<name> (space-separated to
-# select several) runs a subset: `make bench ONLY=pipeline`.
+# select several) runs a subset: `make bench ONLY=conformance`.
 bench:
 	python -m repro bench --baseline benchmarks --tolerance 0.25 --out benchmarks $(foreach n,$(ONLY),--only $(n))
 

@@ -60,7 +60,7 @@ def test_bench_conformance_throughput(benchmark):
         record.add_tag(f"trace:t{index}")
         records.append(record)
 
-    def check_batch():
+    def check_all():
         checker = ConformanceChecker(
             reference_process_model(), library, clock=SimClock(), storage=CentralLogStorage()
         )
@@ -68,6 +68,6 @@ def test_bench_conformance_throughput(benchmark):
             checker.check(record)
         return checker
 
-    checker = benchmark(check_batch)
+    checker = benchmark(check_all)
     assert checker.check_count == 200
     assert checker.SERVICE_TIME == pytest.approx(0.010)

@@ -23,7 +23,8 @@ import typing as _t
 
 from repro.cloud.errors import CloudError
 from repro.logsys.annotator import AssertionAnnotator
-from repro.logsys.patterns import END, PROGRESS, START as POS_START, LogPattern, PatternLibrary
+from repro.logsys.compiled import CompiledPatternLibrary
+from repro.logsys.patterns import END, PROGRESS, START as POS_START, LogPattern
 from repro.operations.base import Operation
 from repro.operations.steps import (
     COMPLETED,
@@ -297,19 +298,14 @@ def reference_process_model() -> ProcessModel:
     return model
 
 
-def build_pattern_library(compiled: bool = True) -> PatternLibrary:
+def build_pattern_library() -> CompiledPatternLibrary:
     """Transformation rules: log line regex → activity tag (§III.A).
 
-    ``compiled=True`` (the default) returns a
-    :class:`~repro.logsys.compiled.CompiledPatternLibrary` — identical
-    classification results, literal-prefiltered dispatch on the hot path.
-    Pass ``compiled=False`` for the naive linear-scan library (the
-    benchmark baseline and the equivalence tests use it).
+    Returns a :class:`~repro.logsys.compiled.CompiledPatternLibrary`:
+    literal-prefiltered dispatch on the hot path.  The naive linear-scan
+    oracle is ``PatternLibrary(build_pattern_library().patterns)``.
     """
-    from repro.logsys.compiled import CompiledPatternLibrary
-
-    factory = CompiledPatternLibrary if compiled else PatternLibrary
-    return factory(
+    return CompiledPatternLibrary(
         [
             LogPattern(
                 START,

@@ -5,8 +5,7 @@ over :class:`~repro.process.model.PetriNet`) is the semantic reference,
 but it pays dict-and-frozenset prices on every event: ``fire`` copies the
 whole marking dict, ``enabled`` iterates a frozenset of place objects,
 and every step allocates a :class:`ReplayStep`.  At ~12 µs/check that
-caps the pipeline around 82k checks/s — far off the millions/s an
-always-on streaming engine needs (ROADMAP item 3).
+caps the pipeline around 82k checks/s.
 
 :func:`compile_model` flattens the net once per model into a
 :class:`CompiledReplayTable` — DFA-style integer activity ids, dense
@@ -14,8 +13,7 @@ place indices, per-transition input/output index tuples — and
 :class:`CompiledInstance` replays against a plain ``list[int]`` marking
 mutated in place: no per-event dict churn, no frozensets, no step
 objects on the fit path.  :class:`CompiledReplayer` manages the per-trace
-instances and offers a batch entry point that replays a whole run of
-records in one pass over struct-of-arrays columns.
+instances.
 
 Equivalence with the interpreted replayer — identical status sequences,
 fitness, markings and error contexts on the corpus and on arbitrary
@@ -288,35 +286,3 @@ class CompiledReplayer:
             state = CompiledInstance(self.table, trace_id)
             self.states[trace_id] = state
         return state
-
-    def replay_batch(
-        self,
-        trace_ids: _t.Sequence[str],
-        activities: _t.Sequence[str | None],
-        times: _t.Sequence[float],
-    ) -> list[bool | None]:
-        """Replay a column of events in one pass.
-
-        ``activities[i] is None`` (or an activity unknown to the model)
-        yields ``None`` at that position — the caller classifies it
-        UNKNOWN; otherwise the entry is the fit verdict.  One tight loop
-        over parallel columns: the struct-of-arrays shape of
-        :class:`~repro.logsys.batch.RecordBatch`.
-        """
-        table = self.table
-        ids = table.activity_ids
-        states = self.states
-        verdicts: list[bool | None] = []
-        append = verdicts.append
-        for i, activity in enumerate(activities):
-            tid = ids.get(activity) if activity is not None else None
-            if tid is None:
-                append(None)
-                continue
-            trace = trace_ids[i]
-            state = states.get(trace)
-            if state is None:
-                state = CompiledInstance(table, trace)
-                states[trace] = state
-            append(state.replay_id(tid, times[i]))
-        return verdicts

@@ -1,6 +1,8 @@
 """Tests for the fault-tree walking diagnosis engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.assertions.base import Assertion, AssertionEnvironment
 from repro.assertions.consistent_api import ConsistentApiClient
@@ -8,10 +10,14 @@ from repro.assertions.evaluation import AssertionEvaluationService
 from repro.diagnosis.engine import DiagnosisEngine
 from repro.diagnosis.tests import CustomTestRegistry
 from repro.faulttree.builder import FaultTreeRegistry
+from repro.faulttree.instantiate import instantiate_tree
 from repro.faulttree.tree import DiagnosticTest, FaultTree, node
 from repro.logsys.storage import CentralLogStorage
+from repro.operations.rolling_upgrade import build_pattern_library
+from repro.process.conformance import ERROR, UNKNOWN, ConformanceResult
 from repro.process.context import ProcessContext
 from repro.sim.latency import ConstantLatency
+from repro.testbed import Testbed
 
 
 class ScriptedAssertion(Assertion):
@@ -229,3 +235,53 @@ class TestWalk:
         assert merged["N"] == 4
         assert merged["instanceid"] == "i-7"
         assert merged["num"] == "4"
+
+
+# -- conformance-triggered diagnosis: re-scoped pruning context ---------------
+
+#: Every activity the rolling-upgrade model can have replayed last.
+_MODEL_ACTIVITIES = [
+    pattern.activity for pattern in build_pattern_library().patterns if not pattern.is_error
+]
+
+
+def _leaf_count(root) -> int:
+    return sum(1 for n in root.iter_nodes() if n.is_leaf)
+
+
+class TestConformanceErrorPruning:
+    """An ERROR / unclassified line carries a pseudo-step; diagnosis must
+    prune the process-deviation tree by the last valid activity instead."""
+
+    @given(
+        last_valid=st.sampled_from(_MODEL_ACTIVITIES),
+        status=st.sampled_from([ERROR, UNKNOWN]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_request_scoped_to_last_valid_activity(self, last_valid, status):
+        testbed = Testbed(cluster_size=4, seed=5)
+        diag = testbed.pod.diagnosis
+        activity = "operation_error" if status == ERROR else None
+        context = ProcessContext(
+            process_id="rolling-upgrade",
+            trace_id="t-prune",
+            step=activity or "unclassified",
+            conformance=status,
+            last_valid_activity=last_valid,
+        )
+        result = ConformanceResult(status, activity, "t-prune", context=context)
+
+        request = diag.diagnose_conformance_error(result)
+        assert request.context.step == last_valid
+        assert request.context.conformance == status
+        assert context.step == (activity or "unclassified")  # input untouched
+
+        testbed.engine.run(until=testbed.engine.now + 120.0)
+        report = diag.completed[-1]
+        assert report.request_id == request.request_id
+        assert report.step == last_valid
+        expected = instantiate_tree(
+            diag.trees.get("process-deviation"), request.params, step=last_valid
+        )
+        assert expected.children, f"{last_valid}: every sub-tree pruned"
+        assert report.potential_fault_count == _leaf_count(expected) > 0

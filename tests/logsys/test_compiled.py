@@ -51,22 +51,21 @@ class TestLiteralExtraction:
         assert literal_runs(r"(unclosed") == []
 
 
-def _overlapping_library(factory, **kwargs):
+def _overlapping_library(factory):
     """First-match-wins matters: each pattern is a prefix of the previous."""
     return factory(
         [
             LogPattern("specific", r"Instance (?P<instanceid>i-\w+) terminated", position=END),
             LogPattern("medium", r"Instance (?P<instanceid>i-\w+)", position=PROGRESS),
             LogPattern("generic", r"Instance", position=PROGRESS),
-        ],
-        **kwargs,
+        ]
     )
 
 
 class TestCompiledSemantics:
-    @pytest.mark.parametrize("combined", [False, True])
-    def test_first_match_wins_with_overlapping_prefixes(self, combined):
-        library = _overlapping_library(CompiledPatternLibrary, combined=combined)
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_first_match_wins_with_overlapping_prefixes(self, compiled):
+        library = _overlapping_library(CompiledPatternLibrary if compiled else PatternLibrary)
         assert library.classify("Instance i-1 terminated").activity == "specific"
         assert library.classify("Instance i-1 launching").activity == "medium"
         assert library.classify("Instance count: 4").activity == "generic"
@@ -74,7 +73,7 @@ class TestCompiledSemantics:
 
     def test_returns_same_pattern_object_as_naive(self):
         naive = _overlapping_library(PatternLibrary)
-        compiled = CompiledPatternLibrary.from_library(naive)
+        compiled = CompiledPatternLibrary(naive.patterns)
         for message in ("Instance i-9 terminated", "Instance i-9", "Instance", "zzz"):
             assert compiled.classify(message).pattern is naive.classify(message).pattern
             assert compiled.classify(message).fields == naive.classify(message).fields
@@ -85,24 +84,6 @@ class TestCompiledSemantics:
         library.add(LogPattern("late", r"very specific literal here"))
         assert library.prefilter_plan() == [("late", "very specific literal here")]
         assert library.classify("very specific literal here").activity == "late"
-
-    def test_from_library_is_identity_for_compiled(self):
-        compiled = _overlapping_library(CompiledPatternLibrary)
-        assert CompiledPatternLibrary.from_library(compiled) is compiled
-
-    def test_combined_rejection_never_blocks_a_match(self):
-        library = _overlapping_library(CompiledPatternLibrary, combined=True)
-        assert library._any is not None
-        # Every line any pattern matches passes the combined gate too.
-        for message in ("Instance i-1 terminated", "prefix Instance suffix"):
-            assert library.classify(message).matched
-
-    def test_combined_skipped_for_backreferences(self):
-        library = CompiledPatternLibrary(
-            [LogPattern("dup", r"(?P<w>\w+) again (?P=w)")], combined=True
-        )
-        assert library._any is None  # falls back to plain dispatch
-        assert library.classify("boom again boom").activity == "dup"
 
     def test_prefilter_only_skips_nonmatching_patterns(self):
         library = _overlapping_library(CompiledPatternLibrary)
@@ -128,29 +109,24 @@ class TestCorpusEquivalence:
     def test_compiled_agrees_with_naive_on_every_line(self):
         from repro.operations.rolling_upgrade import build_pattern_library
 
-        naive = build_pattern_library(compiled=False)
-        compiled = build_pattern_library(compiled=True)
-        combined = CompiledPatternLibrary.from_library(naive, combined=True)
+        compiled = build_pattern_library()
+        naive = PatternLibrary(compiled.patterns)
         assert isinstance(compiled, CompiledPatternLibrary)
         matched = 0
         for message in _corpus():
             expected = naive.classify(message)
-            for candidate in (compiled, combined):
-                got = candidate.classify(message)
-                assert got.activity == expected.activity, message
-                assert got.fields == expected.fields, message
-                if expected.matched:
-                    # Same *pattern position*, not merely the same activity.
-                    assert naive.patterns.index(expected.pattern) == candidate.patterns.index(
-                        got.pattern
-                    ), message
+            got = compiled.classify(message)
+            assert got.activity == expected.activity, message
+            assert got.fields == expected.fields, message
+            # Same winning pattern object, not merely the same activity.
+            assert got.pattern is expected.pattern, message
             matched += expected.matched
         assert matched > 0, "corpus exercised no matching lines"
 
     def test_rolling_upgrade_library_has_usable_prefilters(self):
         from repro.operations.rolling_upgrade import build_pattern_library
 
-        library = build_pattern_library(compiled=True)
+        library = build_pattern_library()
         literals = [literal for _a, literal in library.prefilter_plan()]
         assert sum(1 for literal in literals if literal) >= len(literals) * 0.5, (
             "most rolling-upgrade patterns should yield a required literal: "

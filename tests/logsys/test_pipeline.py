@@ -1,5 +1,7 @@
 """Tests for the local log processor pipeline (Fig. 3) and its stages."""
 
+import pytest
+
 from repro.logsys.annotator import AssertionAnnotator, ProcessAnnotator
 from repro.logsys.central import CentralLogProcessor
 from repro.logsys.filters import NoiseFilter
@@ -8,6 +10,9 @@ from repro.logsys.pipeline import LocalLogProcessor
 from repro.logsys.record import LogRecord, LogStream
 from repro.logsys.storage import CentralLogStorage
 from repro.logsys.trigger import Trigger
+from repro.obs import Observability
+from repro.process.conformance import ConformanceChecker
+from repro.process.model import ProcessModel
 from repro.sim.clock import SimClock
 
 
@@ -190,6 +195,216 @@ class TestLocalLogProcessor:
         assert counters["pipeline.records_ingested"] == 1
         assert counters["pipeline.records_filtered"] == 1
         assert counters["pipeline.records_shipped"] == 1
+
+
+def stream_library():
+    return PatternLibrary(
+        [
+            LogPattern("alpha", r"doing alpha", position="start"),
+            LogPattern("beta", r"doing beta on (?P<instanceid>i-\w+)", position=END),
+            LogPattern("gamma", r"doing gamma", position=END),
+            LogPattern("op-error", r"ERROR .*", position=END, is_error=True),
+        ]
+    )
+
+
+def stream_model():
+    model = ProcessModel("linear")
+    model.add_sequence("alpha", "beta", "gamma")
+    model.mark_start("alpha")
+    model.mark_end("gamma")
+    return model
+
+
+def build_stack(compiled=True, trace_id="t-static", obs=None):
+    """Full Fig. 3 stack with a conformance checker sharing the storage.
+
+    Returns ``(processor, checker, storage, events)``; ``events`` records
+    every callback (error callback and assertion trigger) in call order.
+    """
+    events: list = []
+    library = stream_library()
+    storage = CentralLogStorage()
+    checker = ConformanceChecker(
+        stream_model(),
+        library,
+        compiled=compiled,
+        storage=storage,
+        on_error=lambda r: events.append(("conf-err", r.status, r.trace_id)),
+        obs=obs,
+    )
+    annotator = AssertionAnnotator()
+    annotator.bind("beta", "end", ["check-beta"])
+    annotator.bind("gamma", "end", ["check-gamma", "check-extra"])
+    processor = LocalLogProcessor(
+        noise_filter=NoiseFilter(library, passthrough_unmatched=True, obs=obs),
+        process_annotator=ProcessAnnotator(library, "proc", trace_id, obs=obs),
+        assertion_annotator=annotator,
+        trigger=Trigger(
+            conformance=checker.check,
+            assertions=lambda r, ids: events.append(
+                ("assert", tuple(ids), r.tag_value("trace"))
+            ),
+        ),
+        storage=storage,
+        obs=obs,
+    )
+    return processor, checker, storage, events
+
+
+#: Every record arrival shape: preset trace, bare, preset context tags,
+#: preset trace equal to the static one, plus noise and errors.
+MIXED_STREAM = [
+    ("doing alpha", ("trace:t1",)),
+    ("doing beta on i-42", ("trace:t1",)),
+    ("doing gamma", ("trace:t1",)),          # fit flow, then:
+    ("doing gamma", ("trace:t2",)),          # unfit (skipped alpha+beta)
+    ("ERROR boom", ("trace:t2",)),           # known error
+    ("unmatched chatter", ()),               # passthrough-unmatched
+    ("DEBUG drop me", ("trace:t1",)),        # dropped by noise filter
+    ("doing alpha", ()),                     # bare: static trace
+    ("doing beta on i-7", ("step:alpha", "position:start")),  # preset context
+    ("doing alpha", ("trace:t-static",)),    # preset == static trace
+]
+
+
+def make_records(specs):
+    return [
+        LogRecord(time=float(i), source="op.log", message=message, tags=list(tags))
+        for i, (message, tags) in enumerate(specs)
+    ]
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+class TestPerRecordStream:
+    """A hand-written stream through ``process()``: exact tags, storage
+    order, callback order and counters, identical on both replay engines."""
+
+    def test_shipped_flags(self, compiled):
+        processor, _, _, _ = build_stack(compiled)
+        flags = [processor.process(r) for r in make_records(MIXED_STREAM)]
+        assert flags == [True] * 6 + [False] + [True] * 3
+
+    def test_tags_first_wins(self, compiled):
+        processor, _, _, _ = build_stack(compiled)
+        records = make_records(MIXED_STREAM)
+        for record in records:
+            processor.process(record)
+        assert records[1].tags == [
+            "trace:t1", "process:proc", "trace:t-static", "step:beta",
+            "position:end", "assert:check-beta", "conformance:fit",
+        ]
+        assert records[1].tag_value("trace") == "t1"
+        assert records[1].fields == {"instanceid": "i-42"}
+        assert records[4].tags[-2:] == ["known-error", "conformance:error"]
+        assert records[5].tags == [
+            "process:proc", "trace:t-static", "step:unclassified",
+            "conformance:unclassified",
+        ]
+        assert records[6].tags == ["trace:t1"]  # dropped before annotation
+        # Preset context tags win the step/position index, so the bound
+        # assertions for the classified activity are not looked up.
+        assert records[8].tag_value("step") == "alpha"
+        assert not any(tag.startswith("assert:") for tag in records[8].tags)
+        assert records[8].fields == {"instanceid": "i-7"}
+        assert records[9].tags == [
+            "trace:t-static", "process:proc", "step:alpha", "position:start",
+            "conformance:unfit",
+        ]
+
+    def test_storage_order(self, compiled):
+        processor, _, storage, _ = build_stack(compiled)
+        for record in make_records(MIXED_STREAM):
+            processor.process(record)
+        # The conformance result log lands before the line it classified:
+        # the trigger fires before the ship stage.
+        assert [r.type for r in storage.records] == ["conformance", "operation"] * 9
+        assert [r.message for r in storage.records[1::2]] == [
+            m for m, _ in MIXED_STREAM if not m.startswith("DEBUG")
+        ]
+        assert storage.records[6].message == (
+            "[conformance] [t2] line classified unfit (activity=gamma)"
+        )
+
+    def test_callback_order(self, compiled):
+        processor, _, _, events = build_stack(compiled)
+        for record in make_records(MIXED_STREAM):
+            processor.process(record)
+        # Per record: conformance (and its error callback) before the
+        # assertion trigger.
+        assert events == [
+            ("assert", ("check-beta",), "t1"),
+            ("assert", ("check-gamma", "check-extra"), "t1"),
+            ("conf-err", "unfit", "t2"),
+            ("assert", ("check-gamma", "check-extra"), "t2"),
+            ("conf-err", "error", "t2"),
+            ("conf-err", "unclassified", "t-static"),
+            ("conf-err", "unfit", "t-static"),
+        ]
+
+    def test_verdicts_and_counters(self, compiled):
+        processor, checker, _, _ = build_stack(compiled)
+        for record in make_records(MIXED_STREAM):
+            processor.process(record)
+        assert [(r.status, r.trace_id, r.activity) for r in checker.results] == [
+            ("fit", "t1", "alpha"),
+            ("fit", "t1", "beta"),
+            ("fit", "t1", "gamma"),
+            ("unfit", "t2", "gamma"),
+            ("error", "t2", "op-error"),
+            ("unclassified", "t-static", None),
+            ("fit", "t-static", "alpha"),
+            ("fit", "t-static", "beta"),
+            ("unfit", "t-static", "alpha"),
+        ]
+        assert checker.results[3].context.skipped_activities == ["alpha", "beta"]
+        assert checker.results[8].context.last_valid_activity == "beta"
+        assert checker.check_count == 9
+        assert processor.processed_count == 9
+        assert processor.shipped_count == 9
+        assert processor.noise_filter.dropped_count == 1
+        assert processor.noise_filter.passed_count == 9
+        assert processor.trigger.conformance_calls == 9
+        assert processor.trigger.assertion_calls == 3
+
+    def test_callable_trace_id(self, compiled):
+        processor, checker, _, _ = build_stack(
+            compiled, trace_id=lambda r: f"trace-{int(r.time) % 3}"
+        )
+        records = make_records(MIXED_STREAM)
+        for record in records:
+            processor.process(record)
+        assert records[7].tag_value("trace") == "trace-1"
+        assert [r.trace_id for r in checker.results][5:] == [
+            "trace-2", "trace-1", "trace-2", "t-static",
+        ]
+
+    def test_outcome_metrics(self, compiled):
+        obs = Observability(enabled=True)
+        obs.tracer.enabled = False
+        processor, _, _, _ = build_stack(compiled, obs=obs)
+        for record in make_records(MIXED_STREAM):
+            processor.process(record)
+        counters = obs.metrics.snapshot()["counters"]
+        assert {key: counters.get(key, 0) for key in (
+            "pipeline.records_ingested",
+            "pipeline.records_filtered",
+            "pipeline.records_shipped",
+            "conformance.checks.fit",
+            "conformance.checks.unfit",
+            "conformance.checks.error",
+            "conformance.checks.unclassified",
+            "conformance.tokens_replayed",
+        )} == {
+            "pipeline.records_ingested": 9,
+            "pipeline.records_filtered": 1,
+            "pipeline.records_shipped": 9,
+            "conformance.checks.fit": 5,
+            "conformance.checks.unfit": 2,
+            "conformance.checks.error": 1,
+            "conformance.checks.unclassified": 1,
+            "conformance.tokens_replayed": 7,
+        }
 
 
 class TestCentralLogStorage:
