@@ -88,8 +88,8 @@ class DiagnosisEngine:
         self.storage = storage
         #: Ablation switches: context pruning (the paper's subtree pruning
         #: by process context) and per-run diagnostic-test result reuse.
-        #: Production keeps both on; the ablation benches quantify what
-        #: each buys.
+        #: Production keeps both on; the ablation tests check what each
+        #: buys.
         self.enable_pruning = enable_pruning
         self.enable_cache = enable_cache
         #: Operation-specific activity -> canonical tree step translation
@@ -164,7 +164,7 @@ class DiagnosisEngine:
     ) -> DiagnosisRequest:
         """Run a diagnosis over an explicit set of fault trees.
 
-        The programmatic entry point: operators (and the ablation benches)
+        The programmatic entry point: operators (and the ablation tests)
         can ask for any tree combination — e.g. a timer-triggered failure
         with weak context may warrant consulting both the instance-count
         tree and the resource-integrity tree.

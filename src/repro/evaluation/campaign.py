@@ -507,7 +507,7 @@ class Campaign:
         executor plans adaptively: workers are clamped to the core count
         and the pool is skipped when its startup+IPC cost cannot be
         repaid.  ``chunk_size`` pins specs per future; ``cpu_count`` and
-        ``force_pool`` are the executor's testing/benchmarking hooks.
+        ``force_pool`` are the executor's testing hooks.
         """
         from repro.evaluation.parallel import execute_specs
 

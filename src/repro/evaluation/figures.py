@@ -1,6 +1,6 @@
 """Text renderings of the paper's figures and headline numbers.
 
-The benches print these; EXPERIMENTS.md records paper-vs-measured.
+The CLI prints these; EXPERIMENTS.md records paper-vs-measured.
 """
 
 from __future__ import annotations

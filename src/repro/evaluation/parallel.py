@@ -285,8 +285,8 @@ def execute_specs(
     workers it must be picklable.  ``chunk_size`` pins the number of
     specs per submitted future (default: derived from the probe cost).
     ``cpu_count`` overrides the detected core count and ``force_pool``
-    skips both the core clamp and the cost-model fallback — testing and
-    benchmarking hooks for exercising the pool on any host.
+    skips both the core clamp and the cost-model fallback — testing
+    hooks for exercising the pool on any host.
     ``plan_out``, if given, receives the chosen :class:`ExecutionPlan`.
     """
     specs = list(specs)

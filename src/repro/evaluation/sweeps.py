@@ -9,7 +9,7 @@ the paper could not afford testbed-hours for:
 - does cluster size (and hence batch size k) change the picture?
 
 Each sweep runs a reduced campaign per point and returns structured
-:class:`SweepPoint` rows that benches and reports can render.
+:class:`SweepPoint` rows that the CLI, tests and reports can render.
 """
 
 from __future__ import annotations

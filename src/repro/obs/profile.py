@@ -9,7 +9,7 @@ and that is what the parallel runner exposed as the remaining hot path.
 Wall-clock numbers are inherently non-deterministic, so profiler output
 never flows into :class:`~repro.evaluation.campaign.RunOutcome` (which
 must stay bit-for-bit identical across worker counts) — it is reported
-alongside, by the CLI and the benchmarks.
+alongside, by the CLI.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ from repro.cloud.freeze import (
 )
 from repro.cloud.resources import SecurityGroup
 from repro.cloud.state import CloudState, snapshot_of
+from tests.helpers import build_region, flip_instance_type
 
 
 def sample():
@@ -242,3 +243,16 @@ class TestStateCounters:
         # Re-recording the unchanged resource shares every sub-structure.
         state.record_write("security_group", "sg-web", now=1.0)
         assert state.data_plane_counters.get("cloud.snapshot.shared", 0) > 0
+
+
+class TestSnapshotSharing:
+    def test_shared_fraction_pinned_on_a_512_instance_region(self):
+        """Of every structure frozen while building a 512-instance region
+        and writing it 512 times, exactly this share resolved to an
+        already-interned object (deterministic: no timing)."""
+        state = build_region(512)
+        for write in range(512):
+            flip_instance_type(state, f"i-{write:08x}", float(write))
+        shared = state.data_plane_counters["cloud.snapshot.shared"]
+        copied = state.data_plane_counters["cloud.snapshot.copied"]
+        assert shared / (shared + copied) == 0.666015625

@@ -12,12 +12,14 @@ across retention trimming and delta-chain rebasing.
 
 import copy
 import json
+import types
 
 import pytest
 
-from repro.cloud.monitor import REBASE_INTERVAL
+from repro.cloud.monitor import REBASE_INTERVAL, CloudMonitor
 from repro.cloud.provider import SimulatedCloud
 from repro.cloud.state import KINDS
+from tests.helpers import build_region, flip_instance_type
 
 
 def dumps(value) -> str:
@@ -173,3 +175,26 @@ class TestDeltaEquivalence:
         cloud, _ = scripted_run
         counters = cloud.state.data_plane_counters
         assert counters["cloud.monitor.reused"] > counters["cloud.monitor.refreshed"]
+
+
+class TestTickWorkScalesWithWrites:
+    """A monitor tick re-captures only what the write log says changed:
+    64 ticks x 8 writes refresh exactly 512 views on a 64-instance and
+    on a 512-instance region alike; everything else is shared."""
+
+    @pytest.mark.parametrize("size", [64, 512])
+    def test_refreshed_views_equal_writes(self, size):
+        region = build_region(size)
+        clock = types.SimpleNamespace(now=0.0)
+        monitor = CloudMonitor(clock, region, retention=72)
+        monitor.take_snapshot()  # the first crawl records the full region
+        counters = region.data_plane_counters
+        assert counters["cloud.monitor.refreshed"] == size
+        instances = sorted(region.instances)
+        for tick in range(64):
+            clock.now = float(tick + 1)
+            for write in range(8):
+                flip_instance_type(region, instances[(tick * 8 + write) % size], clock.now)
+            monitor.take_snapshot()
+        assert counters["cloud.monitor.refreshed"] - size == 512
+        assert counters["cloud.monitor.reused"] == 64 * size - 512

@@ -96,6 +96,8 @@ class TestHistory:
         assert state.view_at("ami", "ami-1", as_of=2.0)["Version"] == "v1"
 
     def test_views_shared_by_reference_across_reads(self):
+        """Stale and fresh reads hand out the stored frozen view itself:
+        a read never copies."""
         state = CloudState()
         state.put("ami", "ami-1", make_image(), now=1.0)
         assert state.view_at("ami", "ami-1", as_of=2.0) is state.view_at(

@@ -143,6 +143,26 @@ class TestChaosSweep:
         assert "Sweep over chaos_profile" in text
         assert "severe" in text
 
+    def test_sweep_degrades_monotonically(self):
+        """All four levels, three runs per fault type: no run crashes and
+        recall holds at every level; degraded verdicts rise with severity
+        from none on a calm plane; a severe plane injects visible API
+        damage and pays for its inconclusiveness with time, not wrong
+        answers."""
+        points = sweep_chaos(levels=("none", "mild", "moderate", "severe"), runs_per_fault=3)
+        by_level = {p.value: p for p in points}
+        for point in points:
+            assert point.row()["crashed_runs"] == 0, f"run crashed at level={point.value}"
+            assert point.metrics.recall == 1.0, f"recall collapsed at level={point.value}"
+        degraded = [p.row()["degraded_verdicts"] for p in points]
+        assert degraded[0] == 0
+        assert degraded[-1] > 0
+        assert degraded == sorted(degraded), f"degradation not monotone: {degraded}"
+        severe_health = by_level["severe"].metrics.api_health
+        assert severe_health["chaos_errors"] > 0
+        assert severe_health["retries"] > by_level["none"].metrics.api_health["retries"]
+        assert by_level["severe"].row()["diag_mean_s"] >= by_level["none"].row()["diag_mean_s"]
+
     def test_invalid_chaos_profile_rejected_at_config(self):
         with pytest.raises(ValueError, match="unknown chaos profile"):
             CampaignConfig(chaos_profile="apocalyptic")

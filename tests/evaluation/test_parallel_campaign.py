@@ -5,9 +5,12 @@ and the computed ``CampaignMetrics`` — are bit-for-bit identical whether
 the runs execute serially or across any number of worker processes.
 """
 
+import concurrent.futures
 import dataclasses
 import json
+import os
 import pickle
+import time
 
 import pytest
 
@@ -59,6 +62,34 @@ def _explode_on_second(spec: RunSpec) -> RunOutcome:
     if spec.run_id.endswith("-02"):
         raise RuntimeError("injected worker crash")
     return run_single(spec)
+
+
+def _stub_runner(spec: RunSpec) -> RunOutcome:
+    """Picklable runner that returns at once: pool mechanics only."""
+    return RunOutcome.failure(spec, "stub")
+
+
+class CountingPool(concurrent.futures.ProcessPoolExecutor):
+    """The real pool, counting instances and submissions."""
+
+    created = 0
+    submitted = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).created += 1
+        super().__init__(*args, **kwargs)
+
+    def submit(self, *args, **kwargs):
+        type(self).submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    monkeypatch.setattr(CountingPool, "created", 0)
+    monkeypatch.setattr(CountingPool, "submitted", 0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    return CountingPool
 
 
 class TestDeterminism:
@@ -525,3 +556,94 @@ class TestAdaptiveFallback:
         assert forced == serial
         assert len(plans) == 1 and plans[0].use_pool
         assert plans[0].reason == "pool forced"
+
+
+#: The 32-run campaign the executor's speed guarantees are held on.
+FLOOR_CONFIG = CampaignConfig(runs_per_fault=4, large_cluster_runs=0, seed=2014)
+
+
+class TestParallelSpeedupFloor:
+    """``parallel_speedup >= 1.0``: the adaptive executor is never slower
+    than serial.  Serial and adaptive (4 workers requested) alternate
+    for three rounds, each keeping its best time.  Where the planner
+    chose a pool, the measured ratio must clear 1.0; where it did not,
+    the batch must have run in-process, with no pool created at all."""
+
+    def test_adaptive_never_slower_than_serial(self, counting_pool):
+        specs = Campaign(FLOOR_CONFIG).build_specs()
+        assert len(specs) == 32
+        plans: list[ExecutionPlan] = []
+        serial_s = adaptive_s = float("inf")
+        for _ in range(3):
+            started = time.perf_counter()
+            serial = execute_specs(specs, max_workers=1)
+            serial_s = min(serial_s, time.perf_counter() - started)
+            started = time.perf_counter()
+            adaptive = execute_specs(specs, max_workers=4, plan_out=plans)
+            adaptive_s = min(adaptive_s, time.perf_counter() - started)
+            assert not any(o.failed for o in serial)
+            assert adaptive == serial
+        assert len(plans) == 3
+        if any(plan.use_pool for plan in plans):
+            assert serial_s / adaptive_s >= 1.0, (
+                f"pooled campaign slower than serial: {serial_s:.3f}s serial,"
+                f" {adaptive_s:.3f}s adaptive"
+            )
+        else:
+            assert all(plan.workers == 1 for plan in plans)
+            assert counting_pool.created == 0
+
+
+#: 8 fault types x 6 runs: the campaign the multi-core scaling floor uses.
+SCALING_CONFIG = CampaignConfig(runs_per_fault=6, large_cluster_runs=0, seed=4242)
+
+
+@pytest.mark.slow
+class TestMultiCoreScaling:
+    """On a host with 4 or more cores, a 48-run campaign on 4 workers
+    finishes at least 2x faster than serial, with identical outcomes.
+    Fewer cores: only the serial ≡ 4-worker determinism is checked."""
+
+    def test_four_workers_at_least_twice_as_fast(self):
+        started = time.perf_counter()
+        serial = Campaign(SCALING_CONFIG)
+        serial.run()
+        serial_s = time.perf_counter() - started
+        started = time.perf_counter()
+        parallel = Campaign(SCALING_CONFIG)
+        parallel.run(max_workers=4)
+        parallel_s = time.perf_counter() - started
+
+        assert len(serial.outcomes) == 48
+        assert parallel.outcomes == serial.outcomes
+        serial_metrics = compute_metrics(serial.outcomes)
+        assert pickle.dumps(compute_metrics(parallel.outcomes)) == pickle.dumps(serial_metrics)
+        assert serial_metrics.failed_runs == 0
+        if (os.cpu_count() or 1) >= 4:
+            assert serial_s / parallel_s >= 2.0, (
+                f"expected >=2x speedup with 4 workers on {os.cpu_count()} cores:"
+                f" {serial_s:.3f}s serial, {parallel_s:.3f}s parallel"
+            )
+
+
+class TestPoolSubmissions:
+    """Chunked submission, counted: after the in-parent probe run, the
+    n = 31 remaining specs of the 32-run campaign reach a two-worker
+    pool in ceil(n / chunk) futures, against n with one spec each."""
+
+    def _submit(self, chunk_size):
+        specs = Campaign(FLOOR_CONFIG).build_specs()
+        outcomes = execute_specs(
+            specs, max_workers=2, chunk_size=chunk_size, force_pool=True,
+            runner=_stub_runner,
+        )
+        assert [o.spec.run_id for o in outcomes] == [s.run_id for s in specs]
+
+    def test_default_chunks(self, counting_pool):
+        self._submit(None)
+        assert chunk_size_for(31, 2) == 4
+        assert counting_pool.submitted == 8  # ceil(31 / 4)
+
+    def test_one_spec_per_future(self, counting_pool):
+        self._submit(1)
+        assert counting_pool.submitted == 31

@@ -1,10 +1,18 @@
-"""Tests for the sweep utilities (rendering + structure; the heavy
-campaign-backed sweeps run in benchmarks/test_bench_sweeps.py)."""
+"""Sweep utilities, and the sensitivity sweeps beyond the paper's single
+configuration: recall stays 100 % across interference intensity, cluster
+size and transient-fault rate, while heavier interference and more
+transients can only cost accuracy."""
 
 import pytest
 
 from repro.evaluation.metrics import CampaignMetrics, FaultTypeMetrics
-from repro.evaluation.sweeps import SweepPoint, render_sweep, sweep_interference
+from repro.evaluation.sweeps import (
+    SweepPoint,
+    render_sweep,
+    sweep_cluster_size,
+    sweep_interference,
+    sweep_transient_rate,
+)
 
 
 def stub_metrics(precision_fp=0):
@@ -53,3 +61,27 @@ class TestTinySweep:
         assert len(points) == 1
         assert points[0].metrics.total_runs == 8
         assert points[0].metrics.recall == 1.0
+
+
+class TestSensitivitySweeps:
+    def test_interference(self):
+        calm, stormy = sweep_interference(rates=(0.0, 0.5), runs_per_fault=3)
+        assert calm.metrics.recall == 1.0
+        assert stormy.metrics.recall == 1.0
+        assert calm.metrics.interference_events == 0
+        assert stormy.metrics.interference_detected >= 1
+        # Interference cannot improve diagnosis accuracy.
+        assert stormy.metrics.accuracy_rate <= calm.metrics.accuracy_rate + 1e-9
+
+    def test_cluster_size(self):
+        for point in sweep_cluster_size(sizes=(4, 20), runs_per_fault=2):
+            assert point.metrics.recall == 1.0, f"recall collapsed at n={point.value}"
+            assert point.metrics.accuracy_rate >= 0.7
+
+    def test_transient_rate(self):
+        never, always = sweep_transient_rate(rates=(0.0, 1.0), runs_per_fault=3)
+        assert never.metrics.recall == 1.0
+        assert always.metrics.recall == 1.0, "transients must still be detected"
+        # With every configuration fault transient, some flaps evade the
+        # monitor: accuracy cannot exceed the no-transient baseline.
+        assert always.metrics.accuracy_rate <= never.metrics.accuracy_rate + 1e-9

@@ -8,6 +8,7 @@ from repro.logsys.compiled import (
     required_literal,
 )
 from repro.logsys.patterns import END, PROGRESS, LogPattern, PatternLibrary
+from tests.helpers import synthesize_corpus
 
 
 class TestLiteralExtraction:
@@ -94,8 +95,7 @@ class TestCompiledSemantics:
 
 
 def _corpus():
-    """Messages from a real traced upgrade + the synthetic bench mix."""
-    from repro.evaluation.bench import synthesize_corpus
+    """Messages from a real traced upgrade + the synthetic mixed corpus."""
     from repro.testbed import Testbed
 
     testbed = Testbed(cluster_size=4, seed=321)
@@ -132,3 +132,30 @@ class TestCorpusEquivalence:
             "most rolling-upgrade patterns should yield a required literal: "
             f"{library.prefilter_plan()}"
         )
+
+
+class TestPrefilterWork:
+    """The prefilter's gain, counted instead of timed: regex scans
+    (``LogPattern.match`` calls) to classify a 6000-line mixed corpus
+    once with the compiled library against the plain linear scan."""
+
+    def test_regex_scans_pinned(self, monkeypatch):
+        from repro.operations.rolling_upgrade import build_pattern_library
+
+        calls = [0]
+        match = LogPattern.match
+
+        def counting_match(self, message):
+            calls[0] += 1
+            return match(self, message)
+
+        monkeypatch.setattr(LogPattern, "match", counting_match)
+        corpus = synthesize_corpus(6000, seed=7)
+        compiled = build_pattern_library()
+        scans = {}
+        for name, library in (("compiled", compiled), ("naive", PatternLibrary(compiled.patterns))):
+            calls[0] = 0
+            for message in corpus:
+                library.classify(message)
+            scans[name] = calls[0]
+        assert scans == {"compiled": 3001, "naive": 47481}

@@ -14,6 +14,7 @@ from repro.obs import Observability
 from repro.process.conformance import ConformanceChecker
 from repro.process.model import ProcessModel
 from repro.sim.clock import SimClock
+from tests.process.oracle import InterpretedChecker
 
 
 def library():
@@ -216,7 +217,7 @@ def stream_model():
     return model
 
 
-def build_stack(compiled=True, trace_id="t-static", obs=None):
+def build_stack(checker_class=ConformanceChecker, trace_id="t-static", obs=None):
     """Full Fig. 3 stack with a conformance checker sharing the storage.
 
     Returns ``(processor, checker, storage, events)``; ``events`` records
@@ -225,10 +226,9 @@ def build_stack(compiled=True, trace_id="t-static", obs=None):
     events: list = []
     library = stream_library()
     storage = CentralLogStorage()
-    checker = ConformanceChecker(
+    checker = checker_class(
         stream_model(),
         library,
-        compiled=compiled,
         storage=storage,
         on_error=lambda r: events.append(("conf-err", r.status, r.trace_id)),
         obs=obs,
@@ -275,18 +275,20 @@ def make_records(specs):
     ]
 
 
-@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+@pytest.mark.parametrize(
+    "checker_class", [ConformanceChecker, InterpretedChecker], ids=["compiled", "interpreted"]
+)
 class TestPerRecordStream:
     """A hand-written stream through ``process()``: exact tags, storage
     order, callback order and counters, identical on both replay engines."""
 
-    def test_shipped_flags(self, compiled):
-        processor, _, _, _ = build_stack(compiled)
+    def test_shipped_flags(self, checker_class):
+        processor, _, _, _ = build_stack(checker_class)
         flags = [processor.process(r) for r in make_records(MIXED_STREAM)]
         assert flags == [True] * 6 + [False] + [True] * 3
 
-    def test_tags_first_wins(self, compiled):
-        processor, _, _, _ = build_stack(compiled)
+    def test_tags_first_wins(self, checker_class):
+        processor, _, _, _ = build_stack(checker_class)
         records = make_records(MIXED_STREAM)
         for record in records:
             processor.process(record)
@@ -312,8 +314,8 @@ class TestPerRecordStream:
             "conformance:unfit",
         ]
 
-    def test_storage_order(self, compiled):
-        processor, _, storage, _ = build_stack(compiled)
+    def test_storage_order(self, checker_class):
+        processor, _, storage, _ = build_stack(checker_class)
         for record in make_records(MIXED_STREAM):
             processor.process(record)
         # The conformance result log lands before the line it classified:
@@ -326,8 +328,8 @@ class TestPerRecordStream:
             "[conformance] [t2] line classified unfit (activity=gamma)"
         )
 
-    def test_callback_order(self, compiled):
-        processor, _, _, events = build_stack(compiled)
+    def test_callback_order(self, checker_class):
+        processor, _, _, events = build_stack(checker_class)
         for record in make_records(MIXED_STREAM):
             processor.process(record)
         # Per record: conformance (and its error callback) before the
@@ -342,8 +344,8 @@ class TestPerRecordStream:
             ("conf-err", "unfit", "t-static"),
         ]
 
-    def test_verdicts_and_counters(self, compiled):
-        processor, checker, _, _ = build_stack(compiled)
+    def test_verdicts_and_counters(self, checker_class):
+        processor, checker, _, _ = build_stack(checker_class)
         for record in make_records(MIXED_STREAM):
             processor.process(record)
         assert [(r.status, r.trace_id, r.activity) for r in checker.results] == [
@@ -367,9 +369,9 @@ class TestPerRecordStream:
         assert processor.trigger.conformance_calls == 9
         assert processor.trigger.assertion_calls == 3
 
-    def test_callable_trace_id(self, compiled):
+    def test_callable_trace_id(self, checker_class):
         processor, checker, _, _ = build_stack(
-            compiled, trace_id=lambda r: f"trace-{int(r.time) % 3}"
+            checker_class, trace_id=lambda r: f"trace-{int(r.time) % 3}"
         )
         records = make_records(MIXED_STREAM)
         for record in records:
@@ -379,10 +381,10 @@ class TestPerRecordStream:
             "trace-2", "trace-1", "trace-2", "t-static",
         ]
 
-    def test_outcome_metrics(self, compiled):
+    def test_outcome_metrics(self, checker_class):
         obs = Observability(enabled=True)
         obs.tracer.enabled = False
-        processor, _, _, _ = build_stack(compiled, obs=obs)
+        processor, _, _, _ = build_stack(checker_class, obs=obs)
         for record in make_records(MIXED_STREAM):
             processor.process(record)
         counters = obs.metrics.snapshot()["counters"]

@@ -8,7 +8,9 @@ tests pin that down on hand-built models, on the rolling-upgrade corpus
 model, and on hypothesis-generated random traces.
 """
 
+import gc
 import random
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.process.compiled import CompiledInstance, compile_model
 from repro.process.conformance import ConformanceChecker
 from repro.process.instance import ProcessInstance
 from repro.process.model import ProcessModel
+from tests.process.oracle import InterpretedChecker
 
 
 def linear_model():
@@ -220,9 +223,8 @@ def record(message, trace=None, source="op.log"):
 
 def check_both(stream):
     """Run the same stream through both engines; results must be equal."""
-    compiled = ConformanceChecker(linear_model(), library(), compiled=True)
-    interpreted = ConformanceChecker(linear_model(), library(), compiled=False)
-    assert compiled.compiled and not interpreted.compiled
+    compiled = ConformanceChecker(linear_model(), library())
+    interpreted = InterpretedChecker(linear_model(), library())
     for message, trace in stream:
         rec_c, rec_i = record(message, trace), record(message, trace)
         result_c = compiled.check(rec_c)
@@ -270,3 +272,93 @@ class TestCheckerEquivalence:
     @settings(max_examples=100, deadline=None)
     def test_arbitrary_streams_identical(self, stream):
         check_both(stream)
+
+
+# -- the compiled engine must pay for itself ----------------------------------
+
+#: One fit rolling-upgrade trace: the Fig. 2 happy path with two loop
+#: iterations.
+UPGRADE_FLOW = (
+    "Pushing ami-{i:08x} into group asg-dsn: rolling upgrade task started",
+    "Updated launch configuration of group asg-dsn to lc-app-v2 with image ami-{i:08x}",
+    "Sorted 4 instances of group asg-dsn for replacement",
+    "Deregistered instance i-{i:08x} from load balancer elb-dsn",
+    "Terminating instance i-{i:08x} in group asg-dsn",
+    "Waiting for group asg-dsn to start a new instance",
+    "Instance i-{i:08x} is ready for use in group asg-dsn. 1 of 4 instance relaunches done",
+    "Deregistered instance i-{i:08x} from load balancer elb-dsn",
+    "Terminating instance i-{i:08x} in group asg-dsn",
+    "Waiting for group asg-dsn to start a new instance",
+    "Instance i-{i:08x} is ready for use in group asg-dsn. 2 of 4 instance relaunches done",
+    "Rolling upgrade task completed for group asg-dsn",
+)
+
+#: The compiled engine must replay at least this many times faster than
+#: the interpreted oracle on any host.
+COMPILED_REPLAY_SPEEDUP_FLOOR = 3.0
+
+
+class TestCompiledReplaySpeedupFloor:
+    """``compiled_replay_speedup >= 3.0`` on 300 traces x 12 lines (seed
+    11), pre-classified so both sides time replay alone.  Each of three
+    rounds replays the corpus on both engines in alternating 10-trace
+    slices with the collector off, so host-speed drift and collections
+    hit both sides alike; each engine keeps its best round."""
+
+    def test_compiled_beats_interpreted_by_the_floor(self):
+        from repro.logsys.patterns import classify_record
+        from repro.operations.rolling_upgrade import (
+            build_pattern_library,
+            reference_process_model,
+        )
+
+        pattern_library = build_pattern_library()
+        model = reference_process_model()
+        rng = random.Random(11)
+        lines = [
+            (step, template.format(i=rng.getrandbits(32)), f"trace:t-{trace}")
+            for trace in range(300)
+            for step, template in enumerate(UPGRADE_FLOW)
+        ]
+        slice_size = 10 * len(UPGRADE_FLOW)
+
+        def fresh_records():
+            records = [
+                LogRecord(time=float(step), source="replay", message=message, tags=[tag])
+                for step, message, tag in lines
+            ]
+            for rec in records:
+                classify_record(pattern_library, rec)
+            return records
+
+        def timed_round():
+            checkers = (InterpretedChecker(model, pattern_library),
+                        ConformanceChecker(model, pattern_library))
+            records = (fresh_records(), fresh_records())
+            elapsed = [0.0, 0.0]
+            gc.collect()
+            gc.disable()
+            try:
+                for start in range(0, len(lines), slice_size):
+                    for side, checker in enumerate(checkers):
+                        batch = records[side][start:start + slice_size]
+                        started = time.perf_counter()
+                        for rec in batch:
+                            checker.check(rec)
+                        elapsed[side] += time.perf_counter() - started
+            finally:
+                gc.enable()
+            for checker in checkers:
+                assert [r.status for r in checker.results] == ["fit"] * len(lines)
+            return elapsed
+
+        interpreted = compiled = float("inf")
+        for _ in range(3):
+            interpreted_s, compiled_s = timed_round()
+            interpreted = min(interpreted, interpreted_s)
+            compiled = min(compiled, compiled_s)
+        speedup = interpreted / compiled
+        assert speedup >= COMPILED_REPLAY_SPEEDUP_FLOOR, (
+            f"compiled replay only {speedup:.2f}x the interpreted oracle"
+            f" (floor {COMPILED_REPLAY_SPEEDUP_FLOOR})"
+        )

@@ -159,3 +159,57 @@ class TestDiscovery:
             for activity in trace:
                 assert instance.replay(activity).fit
             assert instance.fitness() == 1.0
+
+
+class TestFig2MinedModel:
+    """Fig. 2 end to end: logs of five successful simulated upgrades are
+    clustered, turned into regexes and mined, and the mined model matches
+    the hand-authored reference: same activities, the loop-back edge, and
+    perfect replay fitness on the training traces."""
+
+    @pytest.fixture(scope="class")
+    def training_data(self):
+        from repro.operations.rolling_upgrade import build_pattern_library
+        from repro.testbed import Testbed
+
+        library = build_pattern_library()
+        traces, raw_lines = [], []
+        for seed in range(5):
+            testbed = Testbed(cluster_size=4, seed=500 + seed)
+            testbed.run_upgrade(trace_id=f"train-{seed}")
+            trace = []
+            for record in testbed.stream.records:
+                raw_lines.append(record.message)
+                classification = library.classify(record.message)
+                if classification.matched and not classification.pattern.is_error:
+                    trace.append(classification.activity)
+            traces.append(trace)
+        return traces, raw_lines
+
+    def test_discovery_matches_reference_model(self, training_data):
+        from repro.operations.rolling_upgrade import reference_process_model
+
+        traces, _ = training_data
+        model = discover_model(
+            DirectlyFollowsGraph.from_traces(traces), model_id="mined-rolling-upgrade"
+        )
+        assert set(model.activities) == set(reference_process_model().activities)
+        assert ("new_instance_ready", "remove_deregister_old_instance") in model.edges
+        for index, trace in enumerate(traces):
+            instance = ProcessInstance(model, f"t{index}")
+            for activity in trace:
+                assert instance.replay(activity).fit
+            assert instance.fitness() == 1.0
+
+    def test_clustering_and_regex(self, training_data):
+        """The preprocessing half: one cluster per log template (9
+        activity templates plus the odd skip/exception line on some
+        seeds), and each derived regex matches its cluster's lines."""
+        _, raw_lines = training_data
+        interesting = [line for line in raw_lines if "DEBUG" not in line][:400]
+        clusters = cluster_lines(interesting, 0.82)
+        assert 8 <= len(clusters) <= 14
+        for cluster in clusters:
+            pattern = derive_pattern(cluster)
+            for line in cluster.lines[:20]:
+                assert pattern.match(line) is not None

@@ -97,6 +97,25 @@ class TestTerminalClasses:
         assert 0 < stats["mean"] <= stats["max"]
 
 
+class TestSeed2014Pins:
+    """The closed loop's quality on the seed-2014 8-fault campaign,
+    pinned exactly: every number is virtual-clock simulation output, so
+    a change to remediation, verification or resume that moves any of
+    them fails here on every host."""
+
+    def test_recovery_outcomes_pinned(self):
+        metrics = compute_metrics(run_campaign(seed=2014))
+        assert metrics.failed_runs == 0
+        assert metrics.recovery_attempted == 8
+        assert metrics.recovered_runs == 6
+        assert metrics.escalated_runs == 2
+        assert metrics.resumed_runs == 5
+        assert metrics.recovery_success_rate == 0.75
+        stats = metrics.mttr_stats()
+        assert stats["mean"] == pytest.approx(449.43866620434136, rel=1e-9)
+        assert stats["p95"] == pytest.approx(997.6292268437235, rel=1e-9)
+
+
 class TestDeterminism:
     def test_serial_equals_parallel_bit_for_bit(self):
         serial = run_campaign(seed=301, max_workers=1)
