@@ -255,6 +255,23 @@ class CloudAPI:
                 elb.registered_instances.remove(instance_id)
                 self.state.record_write("load_balancer", elb.name, self.engine.now)
 
+    def set_instance_health(self, instance_id: str, healthy: bool) -> None:
+        """AWS Auto Scaling's SetInstanceHealth: mark an instance (un)healthy.
+
+        The ASG replaces a running instance marked unhealthy.
+        """
+
+        def body() -> None:
+            instance = self.state.get("instance", instance_id)
+            instance.healthy = healthy
+            self.state.record_write("instance", instance_id, self.engine.now)
+
+        self._call(
+            "SetInstanceHealth",
+            {"InstanceId": instance_id, "HealthStatus": "Healthy" if healthy else "Unhealthy"},
+            body,
+        )
+
     # -- AutoScaling: launch configurations ----------------------------------
 
     def create_launch_configuration(
@@ -360,12 +377,19 @@ class CloudAPI:
             asg = self.state.get("auto_scaling_group", name)
             if "launch_configuration_name" in changes:
                 self.state.get("launch_configuration", changes["launch_configuration_name"])
-            for field, value in changes.items():
+            for field in changes:
                 if not hasattr(asg, field):
                     raise MalformedRequest(f"unknown auto scaling group field {field!r}")
-                setattr(asg, field, value)
-            if not 0 <= asg.min_size <= asg.desired_capacity <= asg.max_size:
+            # Validate before mutating: a rejected request changes nothing
+            # (and leaves no unlogged mutation for the ASG controller).
+            low, desired, high = (
+                changes.get(field, getattr(asg, field))
+                for field in ("min_size", "desired_capacity", "max_size")
+            )
+            if not 0 <= low <= desired <= high:
                 raise MalformedRequest("sizes must satisfy min<=desired<=max")
+            for field, value in changes.items():
+                setattr(asg, field, value)
             self.state.record_write("auto_scaling_group", name, self.engine.now)
             return asg.describe()
 

@@ -35,7 +35,16 @@ class ScalingActivity:
 
 
 class AsgController:
-    """Background reconciliation process for every ASG in the region."""
+    """Background reconciliation process for every ASG in the region.
+
+    The loop ticks every ``interval`` virtual seconds.  A tick runs a full
+    :meth:`reconcile` only when the region's write log or the instance
+    limit has moved since the last full pass that wrote nothing; any other
+    tick is quiet and re-records that pass's failed launches.  So every
+    piece of state the controller reads must be changed through
+    ``put``/``delete``/``record_write`` — a bare in-place mutation would
+    go unseen until the next logged write.
+    """
 
     #: ASG scaling process names (matching AWS) that can be suspended.
     LAUNCH = "Launch"
@@ -57,18 +66,22 @@ class AsgController:
         self.boot_latency = boot_latency or instance_boot_latency()
         self.elb_register_delay = elb_register_delay
         self.activities: list[ScalingActivity] = []
-        self._listeners: list[_t.Callable[[ScalingActivity], None]] = []
         self._running = False
+        self._process = None
         self._tick = 0
-
-    def subscribe(self, listener: _t.Callable[[ScalingActivity], None]) -> None:
-        self._listeners.append(listener)
+        #: (write-log position, instance limit) after the last full pass
+        #: that wrote nothing, and that pass's failed launches by ASG.
+        self._quiet_key: tuple[int, int] | None = None
+        self._quiet_failures: dict[str, list[ScalingActivity]] = {}
 
     def start(self) -> None:
         if self._running:
             return
         self._running = True
-        self.engine.process(self._loop(), name="asg-controller")
+        # A loop stopped less than one interval ago is still waiting on its
+        # timer; it resumes ticking rather than running beside a second one.
+        if self._process is None or not self._process.is_alive:
+            self._process = self.engine.process(self._loop(), name="asg-controller")
 
     def stop(self) -> None:
         self._running = False
@@ -80,24 +93,57 @@ class AsgController:
 
     def _loop(self) -> _t.Generator:
         while self._running:
-            self.reconcile()
+            key = (self.state.write_seq(), self.state.limits.max_instances)
+            if key == self._quiet_key:
+                self._quiet_tick()
+            else:
+                self._full_tick(key)
             yield self.engine.timeout(self.interval)
 
-    def reconcile(self) -> None:
-        """One pass: converge every ASG towards its desired capacity.
+    def _full_tick(self, key: tuple[int, int]) -> None:
+        first = len(self.activities)
+        self.reconcile()
+        self._quiet_failures = {}
+        if self.state.write_seq() != key[0]:
+            self._quiet_key = None
+            return
+        # Nothing written: every activity this pass recorded is a failed launch.
+        self._quiet_key = key
+        for activity in self.activities[first:]:
+            self._quiet_failures.setdefault(activity.asg_name, []).append(activity)
 
-        The visit order rotates between passes: AWS gives no ASG priority
-        over shared account capacity, so when the account is at its
-        instance limit, a freed slot is won by whichever group's
-        reconciliation happens to run first — which is how a second
-        team's scale-out starves another team's upgrade (§VI.A).
+    def _quiet_tick(self) -> None:
+        """Replay the last pass that wrote nothing, without re-deriving it.
+
+        Such a pass can only record failed launches: validation reads
+        nothing but write-logged state and the instance limit, and neither
+        has moved since, so a full pass now would fail the same launches
+        for the same reasons.  Only the visit order and the time differ.
+        """
+        now = self.engine.now
+        for asg_name in self._rotation():
+            for failed in self._quiet_failures.get(asg_name, ()):
+                self._record(dataclasses.replace(failed, time=now))
+
+    def _rotation(self) -> list[str]:
+        """This tick's ASG visit order; advances the tick.
+
+        The order rotates between ticks: AWS gives no ASG priority over
+        shared account capacity, so when the account is at its instance
+        limit, a freed slot is won by whichever group's reconciliation
+        happens to run first — which is how a second team's scale-out
+        starves another team's upgrade (§VI.A).
         """
         names = sorted(self.state.auto_scaling_groups)
         if names:
             rotation = self._tick % len(names)
             names = names[rotation:] + names[:rotation]
         self._tick += 1
-        for asg_name in names:
+        return names
+
+    def reconcile(self) -> None:
+        """One full pass: converge every ASG towards its desired capacity."""
+        for asg_name in self._rotation():
             self._reconcile_asg(asg_name)
 
     def _reconcile_asg(self, asg_name: str) -> None:
@@ -145,8 +191,6 @@ class AsgController:
     def _record(self, activity: ScalingActivity) -> None:
         self.activities.append(activity)
         self.state.scaling_activities.append(activity)
-        for listener in self._listeners:
-            listener(activity)
 
     def _try_launch(self, asg_name: str) -> None:
         asg = self.state.auto_scaling_groups[asg_name]

@@ -141,7 +141,7 @@ class CloudMonitor:
             resources = {
                 kind: {
                     identifier: state.latest_view(kind, identifier)
-                    for identifier in state._registry(kind)
+                    for identifier in state._registries[kind]
                 }
                 for kind in KINDS
             }
@@ -157,7 +157,7 @@ class CloudMonitor:
             if snapshot.depth >= REBASE_INTERVAL:
                 snapshot._materialize()
             refreshed = sum(len(by_kind) for by_kind in delta.values())
-        region_size = sum(len(state._registry(kind)) for kind in KINDS)
+        region_size = sum(len(state._registries[kind]) for kind in KINDS)
         state._count_many("cloud.monitor.refreshed", refreshed)
         state._count_many("cloud.monitor.reused", max(0, region_size - refreshed))
         self.snapshots.append(snapshot)

@@ -46,6 +46,17 @@ KINDS = (
     "auto_scaling_group",
 )
 
+#: Identifier prefix per kind, as AWS renders generated ids.
+ID_PREFIXES = {
+    "ami": "ami-",
+    "security_group": "sg-",
+    "key_pair": "key-",
+    "launch_configuration": "lc-",
+    "instance": "i-",
+    "load_balancer": "elb-",
+    "auto_scaling_group": "asg-",
+}
+
 
 class CloudState:
     """All resources in one simulated region, with write history."""
@@ -61,6 +72,16 @@ class CloudState:
         self.instances: dict[str, Instance] = {}
         self.load_balancers: dict[str, LoadBalancer] = {}
         self.auto_scaling_groups: dict[str, AutoScalingGroup] = {}
+        #: kind -> its registry above; built once, every lookup indexes it.
+        self._registries: dict[str, dict] = {
+            "ami": self.amis,
+            "security_group": self.security_groups,
+            "key_pair": self.key_pairs,
+            "launch_configuration": self.launch_configurations,
+            "instance": self.instances,
+            "load_balancer": self.load_balancers,
+            "auto_scaling_group": self.auto_scaling_groups,
+        }
         #: (kind, id) -> parallel (write_times, frozen views) arrays; a
         #: ``None`` view is a tombstone.  Parallel arrays keep ``view_at``
         #: a single bisect over a flat float list.
@@ -97,49 +118,29 @@ class CloudState:
 
     # -- registries ------------------------------------------------------
 
-    def _registry(self, kind: str) -> dict:
-        return {
-            "ami": self.amis,
-            "security_group": self.security_groups,
-            "key_pair": self.key_pairs,
-            "launch_configuration": self.launch_configurations,
-            "instance": self.instances,
-            "load_balancer": self.load_balancers,
-            "auto_scaling_group": self.auto_scaling_groups,
-        }[kind]
-
     def get(self, kind: str, identifier: str):
         """Authoritative (strongly consistent) lookup; raises if missing."""
-        registry = self._registry(kind)
+        registry = self._registries[kind]
         if identifier not in registry:
             raise ResourceNotFound.of(kind, identifier)
         return registry[identifier]
 
     def exists(self, kind: str, identifier: str) -> bool:
-        return identifier in self._registry(kind)
+        return identifier in self._registries[kind]
 
     def new_id(self, kind: str) -> str:
-        prefix = {
-            "ami": "ami-",
-            "security_group": "sg-",
-            "key_pair": "key-",
-            "launch_configuration": "lc-",
-            "instance": "i-",
-            "load_balancer": "elb-",
-            "auto_scaling_group": "asg-",
-        }[kind]
-        return f"{prefix}{next(self._id_counters[kind]):08x}"
+        return f"{ID_PREFIXES[kind]}{next(self._id_counters[kind]):08x}"
 
     # -- mutation + history ----------------------------------------------
 
     def put(self, kind: str, identifier: str, resource, now: float) -> None:
         """Insert or replace a resource and record the write."""
-        self._registry(kind)[identifier] = resource
+        self._registries[kind][identifier] = resource
         self.record_write(kind, identifier, now)
 
     def delete(self, kind: str, identifier: str, now: float) -> None:
         """Remove a resource and record a tombstone."""
-        registry = self._registry(kind)
+        registry = self._registries[kind]
         if identifier not in registry:
             raise ResourceNotFound.of(kind, identifier)
         del registry[identifier]
@@ -153,7 +154,7 @@ class CloudState:
         frozen once and appended by reference — no deep copy, and equal
         sub-structures are interned across the whole region.
         """
-        resource = self._registry(kind).get(identifier)
+        resource = self._registries[kind].get(identifier)
         snapshot = (
             freeze(resource.describe(), self._intern, self._count)
             if resource is not None
@@ -233,7 +234,7 @@ class CloudState:
         return sorted(result, key=lambda i: i.instance_id)
 
     def __repr__(self) -> str:
-        counts = ", ".join(f"{kind}={len(self._registry(kind))}" for kind in KINDS)
+        counts = ", ".join(f"{kind}={len(self._registries[kind])}" for kind in KINDS)
         return f"CloudState({self.region}: {counts})"
 
 

@@ -242,8 +242,5 @@ class Testbed:
 
 
 def build_testbed(cluster_size: int = 4, seed: int = 0, **kwargs) -> Testbed:
-    """Convenience constructor mirroring the paper's two cluster sizes."""
-    if cluster_size not in (4, 20):
-        # Any size works; the paper evaluated 4 and 20.
-        pass
+    """Convenience constructor; the paper evaluated sizes 4 and 20, any size works."""
     return Testbed(cluster_size=cluster_size, seed=seed, **kwargs)

@@ -117,6 +117,32 @@ class TestAutoScalingGroups:
         with pytest.raises(MalformedRequest):
             api.set_desired_capacity("asg", 99)
 
+    def test_rejected_update_changes_nothing(self, cloud, api):
+        self._stack(api)
+        api.create_auto_scaling_group("asg", "lc-1", 1, 4, 2)
+        writes = cloud.state.write_seq()
+        with pytest.raises(MalformedRequest):
+            api.set_desired_capacity("asg", 99)
+        with pytest.raises(MalformedRequest):
+            api.update_auto_scaling_group("asg", desired_capacity=3, bogus=1)
+        assert cloud.state.get("auto_scaling_group", "asg").desired_capacity == 2
+        assert cloud.state.write_seq() == writes
+
+    def test_set_instance_health_records_the_write(self, cloud, api):
+        self._stack(api)
+        api.create_key_pair("k")
+        api.create_auto_scaling_group("asg", "lc-1", 1, 4, 1)
+        cloud.start()
+        cloud.engine.run(until=300)
+        instance_id = cloud.state.get("auto_scaling_group", "asg").instance_ids[0]
+        writes = cloud.state.write_seq()
+        api.set_instance_health(instance_id, False)
+        assert cloud.state.get("instance", instance_id).healthy is False
+        assert cloud.state.writes_since(writes) == [("instance", instance_id)]
+        assert api.calls[-1].name == "SetInstanceHealth"
+        with pytest.raises(ResourceNotFound):
+            api.set_instance_health("i-ghost", True)
+
     def test_suspend_and_resume_processes(self, api):
         self._stack(api)
         api.create_auto_scaling_group("asg", "lc-1", 1, 4, 2)

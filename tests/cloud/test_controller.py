@@ -89,11 +89,11 @@ class TestScaleInAndReplacement:
         assert victim.instance_id not in [i.instance_id for i in running]
 
     def test_replaces_unhealthy_instance(self, cloud):
-        provision(cloud, desired=2)
+        api, _ = provision(cloud, desired=2)
         cloud.start()
         cloud.engine.run(until=300)
         sick = cloud.state.running_instances("asg-x")[0]
-        sick.healthy = False
+        api.set_instance_health(sick.instance_id, False)
         cloud.engine.run(until=600)
         running = cloud.state.running_instances("asg-x")
         assert len(running) == 2
@@ -138,6 +138,19 @@ class TestLaunchFailures:
         assert failed and failed[-1].error_code == "InstanceLimitExceeded"
         assert len(cloud.state.running_instances("asg-x")) == 1
 
+    def test_raised_account_limit_resumes_launches(self):
+        from repro.cloud.limits import AccountLimits
+
+        cloud = SimulatedCloud(seed=7, limits=AccountLimits(max_instances=1))
+        provision(cloud, desired=3, elb=False)
+        cloud.start()
+        cloud.engine.run(until=300)
+        # The limit is not write-logged state; raising it alone must wake
+        # the controller out of replaying its failed launches.
+        cloud.state.limits.max_instances = 3
+        cloud.engine.run(until=600)
+        assert len(cloud.state.running_instances("asg-x")) == 3
+
     def test_unavailable_elb_fails_registration_not_launch(self, cloud):
         provision(cloud, desired=1)
         cloud.injector.make_elb_unavailable("elb-x")
@@ -178,6 +191,29 @@ class TestControllerGuards:
         cloud.controller.start()
         cloud.engine.run(until=200)
         assert len(cloud.state.running_instances("asg-x")) == 1
+
+    def test_restart_before_stopped_loop_wakes_keeps_one_loop(self, cloud):
+        provision(cloud, desired=1)
+        controller = cloud.controller
+        controller.start()
+        cloud.engine.run(until=52)
+        controller.stop()
+        controller.start()  # the stopped loop's 55 s timer is still pending
+        ticks = controller._tick
+        cloud.engine.run(until=152)
+        assert controller._tick - ticks == 20  # one tick per 5 s, not two
+
+    def test_restart_after_loop_exited_resumes_ticking(self, cloud):
+        provision(cloud, desired=1)
+        controller = cloud.controller
+        controller.start()
+        cloud.engine.run(until=52)
+        controller.stop()
+        cloud.engine.run(until=78)
+        ticks = controller._tick
+        controller.start()  # the stopped loop exited at 55 s; a new one starts
+        cloud.engine.run(until=177)
+        assert controller._tick - ticks == 20
 
     def test_terminated_state_reached_after_shutdown(self, cloud):
         api, _ = provision(cloud, desired=1, elb=False)

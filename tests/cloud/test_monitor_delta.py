@@ -37,7 +37,7 @@ class FullCopyReference:
         region = {
             kind: {
                 identifier: copy.deepcopy(resource.describe())
-                for identifier, resource in self.state._registry(kind).items()
+                for identifier, resource in self.state._registries[kind].items()
             }
             for kind in KINDS
         }
